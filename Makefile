@@ -30,6 +30,9 @@
 #                         shard-parallel throughput vs server count at large d;
 #                         writes BENCH_shard.json and checks the acceptance bars
 #   make bench          — the full figure-reproduction benchmark suite (minutes)
+#   make perfbench      — measured end-to-end metrics of the four perfbench
+#                         workloads (--trace 0; PERFBENCH_SEED and
+#                         PERFBENCH_SECONDS override seed 1 and 20 s)
 #   make fuzz-smoke     — tier-1 scenario-fuzzing smoke: fixed seeds, dozens of
 #                         generated scenarios, every invariant checked
 #   make fuzz           — tier-2 fuzzing sweep (hundreds of scenarios); writes
@@ -40,7 +43,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench fuzz-smoke fuzz docs-check quickstart
+.PHONY: test test-session test-scenarios test-detection test-resilience test-sharding test-backends update-golden bench-smoke bench-hotpath bench-wire bench-detection bench-resilience bench-shard bench perfbench fuzz-smoke fuzz docs-check quickstart
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -87,6 +90,15 @@ bench-shard:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/bench_*.py -q -s
+
+PERFBENCH_WORKLOADS = ssmw_cnn msmw_cnn_threaded msmw_wire_process ssmw_guarded
+PERFBENCH_SEED ?= 1
+PERFBENCH_SECONDS ?= 20
+
+perfbench:
+	@for workload in $(PERFBENCH_WORKLOADS); do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed $(PERFBENCH_SEED) --seconds $(PERFBENCH_SECONDS) --trace 0 || exit 1; \
+	done
 
 fuzz-smoke:
 	$(PYTHON) -m pytest tests/fuzz -m "fuzz and not slow" -q

@@ -6,7 +6,8 @@ Validates that the documentation surface stays truthful as the code moves:
 * every relative markdown link in ``README.md`` and ``docs/*.md`` resolves to
   an existing file or directory;
 * every backtick-quoted repository path (``src/repro/...``, ``benchmarks/...``,
-  ``tests/...``, ``examples/...``, ``docs/...``, ``scripts/...``) exists;
+  ``perfbench/...``, ``tests/...``, ``examples/...``, ``docs/...``,
+  ``scripts/...``) exists;
 * every ``repro.<module>`` dotted reference in the docs imports to a real
   module file under ``src/``;
 * the documents are non-empty and start with a top-level heading.
@@ -42,7 +43,7 @@ DOCUMENTS = (
 )
 
 #: Top-level directories a backtick path may point into (plus lone files).
-PATH_PREFIXES = ("src/", "benchmarks/", "tests/", "examples/", "docs/", "scripts/")
+PATH_PREFIXES = ("src/", "benchmarks/", "perfbench/", "tests/", "examples/", "docs/", "scripts/")
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)#\s]+)[^)]*\)")
 BACKTICK_RE = re.compile(r"`([^`\n]+)`")

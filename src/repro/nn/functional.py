@@ -1,8 +1,11 @@
-"""Functional building blocks that are easier to express outside the Tensor class.
+"""Convolution and pooling over NCHW tensors (batch, channels, height, width).
 
-Currently this module hosts the im2col-based 2-D convolution and pooling
-primitives used by :mod:`repro.nn.layers`.  Shapes follow the NCHW convention
-(batch, channels, height, width).
+:func:`_im2col` copies the input's ``kernel x kernel`` windows, taken from a
+strided view, into the columns of a C-contiguous matrix: rows ``(channel, ki,
+kj)``, columns ``(out_row, out_col, sample)``.  :func:`_col2im` folds such a
+matrix back with one slice-add per ``(ki, kj)``, so each pixel sums its
+windows in ``(ki, kj)`` order from ``0.0``.  Gradients are bitwise stable
+only while both orders are kept.
 """
 
 from __future__ import annotations
@@ -10,51 +13,44 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn.tensor import Tensor
 
 
-def _im2col_indices(
-    x_shape: Tuple[int, int, int, int], kernel: int, stride: int, padding: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Compute the gather indices for im2col."""
-    n, c, h, w = x_shape
-    out_h = (h + 2 * padding - kernel) // stride + 1
-    out_w = (w + 2 * padding - kernel) // stride + 1
-
-    i0 = np.repeat(np.arange(kernel), kernel)
-    i0 = np.tile(i0, c)
-    i1 = stride * np.repeat(np.arange(out_h), out_w)
-    j0 = np.tile(np.arange(kernel), kernel * c)
-    j1 = stride * np.tile(np.arange(out_w), out_h)
-
-    i = i0.reshape(-1, 1) + i1.reshape(1, -1)
-    j = j0.reshape(-1, 1) + j1.reshape(1, -1)
-    k = np.repeat(np.arange(c), kernel * kernel).reshape(-1, 1)
-    return k, i, j, out_h, out_w
+def _output_size(shape: Tuple[int, ...], kernel: int, stride: int, padding: int) -> Tuple[int, int]:
+    """Output height and width of a ``kernel`` window sliding over an NCHW ``shape``."""
+    h, w = shape[2] + 2 * padding, shape[3] + 2 * padding
+    if kernel < 1 or stride < 1 or padding < 0 or kernel > min(h, w):
+        raise ValueError(
+            f"kernel {kernel} with stride {stride} and padding {padding} does not "
+            f"fit input of shape {tuple(shape)}"
+        )
+    return (h - kernel) // stride + 1, (w - kernel) // stride + 1
 
 
 def _im2col(x: np.ndarray, kernel: int, stride: int, padding: int) -> Tuple[np.ndarray, int, int]:
-    n, c, h, w = x.shape
-    padded = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
-    k, i, j, out_h, out_w = _im2col_indices(x.shape, kernel, stride, padding)
-    cols = padded[:, k, i, j]  # (n, c*k*k, out_h*out_w)
-    cols = cols.transpose(1, 2, 0).reshape(c * kernel * kernel, -1)
-    return cols, out_h, out_w
+    n, c = x.shape[:2]
+    out_h, out_w = _output_size(x.shape, kernel, stride, padding)
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = sliding_window_view(x, (kernel, kernel), axis=(2, 3))[:, :, ::stride, ::stride]
+    # (n, c, oh, ow, ki, kj) -> (c, ki, kj, oh, ow, n), copied: never aliases x.
+    cols = windows.transpose(1, 4, 5, 2, 3, 0).copy()
+    return cols.reshape(c * kernel * kernel, out_h * out_w * n), out_h, out_w
 
 
 def _col2im(
-    cols: np.ndarray,
-    x_shape: Tuple[int, int, int, int],
-    kernel: int,
-    stride: int,
-    padding: int,
+    cols: np.ndarray, x_shape: Tuple[int, int, int, int], kernel: int, stride: int, padding: int
 ) -> np.ndarray:
     n, c, h, w = x_shape
+    out_h, out_w = _output_size(x_shape, kernel, stride, padding)
     padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=cols.dtype)
-    k, i, j, out_h, out_w = _im2col_indices(x_shape, kernel, stride, padding)
-    cols_reshaped = cols.reshape(c * kernel * kernel, -1, n).transpose(2, 0, 1)
-    np.add.at(padded, (slice(None), k, i, j), cols_reshaped)
+    blocks = cols.reshape(c, kernel, kernel, out_h, out_w, n).transpose(5, 0, 1, 2, 3, 4)
+    for ki in range(kernel):
+        rows = slice(ki, ki + stride * out_h, stride)
+        for kj in range(kernel):
+            padded[:, :, rows, kj : kj + stride * out_w : stride] += blocks[:, :, ki, kj]
     if padding == 0:
         return padded
     return padded[:, :, padding:-padding, padding:-padding]
@@ -90,7 +86,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, stride: int = 1, padding: in
 
 def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     """Max pooling over NCHW input with square windows."""
-    stride = stride or kernel
+    stride = kernel if stride is None else stride
     n, c, h, w = x.data.shape
     reshaped = x.data.reshape(n * c, 1, h, w)
     cols, out_h, out_w = _im2col(reshaped, kernel, stride, 0)
@@ -111,7 +107,7 @@ def max_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
 
 def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     """Average pooling over NCHW input with square windows."""
-    stride = stride or kernel
+    stride = kernel if stride is None else stride
     n, c, h, w = x.data.shape
     reshaped = x.data.reshape(n * c, 1, h, w)
     cols, out_h, out_w = _im2col(reshaped, kernel, stride, 0)
@@ -121,7 +117,7 @@ def avg_pool2d(x: Tensor, kernel: int = 2, stride: int | None = None) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         grad = np.asarray(grad, dtype=np.float64)
         grad_flat = grad.reshape(n * c, out_h, out_w).transpose(1, 2, 0).reshape(-1)
-        dcols = np.broadcast_to(grad_flat / (kernel * kernel), cols.shape).copy()
+        dcols = np.broadcast_to(grad_flat / (kernel * kernel), cols.shape)
         dx = _col2im(dcols, reshaped.shape, kernel, stride, 0)
         x._accumulate(dx.reshape(x.data.shape))
 
